@@ -63,6 +63,6 @@ WORKLOADS: dict[str, Workload] = {
     ),
     "mt": Workload(
         app="MT", batch=4, set_index=0, setups=1, sweep_batch=1,
-        stream_rate=2.5, stream_gap_s=0.300, cycles=3,
+        stream_rate=2.5, stream_gap_s=0.300, cycles=6,
     ),
 }
